@@ -21,6 +21,7 @@ import (
 	"failscope"
 	"failscope/internal/clikit"
 	"failscope/internal/report"
+	"failscope/internal/stream"
 )
 
 func main() {
@@ -179,7 +180,7 @@ func run() error {
 		if *inputPath != "" {
 			return fmt.Errorf("detection replay needs a generated study; drop -input")
 		}
-		detSnap, detBands, err = runDetection(study, *detHorizon, o)
+		detSnap, detBands, err = runDetection(study, res.Field, *detHorizon, o)
 		if err != nil {
 			return err
 		}
@@ -235,16 +236,9 @@ func run() error {
 // every timed record in arrival order, closed by an advance to the
 // observation end so in-flight alerts censor exactly like the batch
 // recurrence analysis) through a stream engine with the online detector
-// attached, and grades the resulting alerts.
-func runDetection(study failscope.Study, horizon time.Duration, o *failscope.Observer) (*failscope.DetectionSnapshot, *failscope.FidelityScoreboard, error) {
-	genSpan := o.Start("detect-generate")
-	gen := study.Generator
-	gen.Observer = o.Under(genSpan)
-	field, err := failscope.Generate(gen)
-	genSpan.End()
-	if err != nil {
-		return nil, nil, err
-	}
+// attached, and grades the resulting alerts. The field is the one the
+// study already generated: collection and analysis only read it.
+func runDetection(study failscope.Study, field *failscope.FieldData, horizon time.Duration, o *failscope.Observer) (*failscope.DetectionSnapshot, *failscope.FidelityScoreboard, error) {
 	det := failscope.NewDetector(failscope.DetectorConfig{Horizon: horizon})
 	eng, err := failscope.NewStreamEngine(failscope.StreamConfig{
 		Observation: study.Generator.Observation,
@@ -254,13 +248,17 @@ func runDetection(study failscope.Study, horizon time.Duration, o *failscope.Obs
 	if err != nil {
 		return nil, nil, err
 	}
-	// The span covers flattening the field into the event stream too —
-	// it dominates the replay's allocations and should be gated with it.
+	// The span covers flattening the field into the event stream too, in
+	// its flatten and order children; apply is the engine's share.
 	repSpan := o.Start("detect-replay")
-	events := failscope.StreamEventsFromField(field)
+	rep := o.Under(repSpan)
+	events := stream.EventsFromField(field.Data, field.Tickets, field.Monitor, rep)
 	end := study.Generator.Observation.End
 	events = append(events, failscope.StreamEvent{Type: "advance", Time: &end})
+	applySpan := rep.Start("apply")
 	err = eng.Apply(events)
+	applySpan.AddItems(len(events))
+	applySpan.End()
 	repSpan.AddItems(len(events))
 	repSpan.End()
 	if err != nil {

@@ -138,7 +138,7 @@ func run() error {
 			genSpan.End()
 			return err
 		}
-		events := stream.EventsFromField(field.Data, field.Tickets, field.Monitor)
+		events := stream.EventsFromField(field.Data, field.Tickets, field.Monitor, nil)
 		// A final advance at the stream's high-water mark: broadcast to
 		// every shard, it converges the per-shard watermarks (and detector
 		// expiry scans) so sharded and unsharded reads align.

@@ -162,7 +162,7 @@ func run() error {
 			}
 			cfg.Classifier = clf
 		}
-		events = stream.EventsFromField(field.Data, field.Tickets, field.Monitor)
+		events = stream.EventsFromField(field.Data, field.Tickets, field.Monitor, nil)
 		fmt.Fprintf(os.Stderr, "failscoped: replaying %d events (%s scale)\n", len(events), *scale)
 	}
 	// One engine per shard, each with its own detector (machines are
@@ -243,6 +243,10 @@ func run() error {
 		}
 	}
 
+	// Catch SIGTERM before the port opens: from the moment a client can
+	// reach the daemon, a signal means a graceful drain, never a kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -298,8 +302,6 @@ func run() error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(l) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Fprintf(os.Stderr, "failscoped: %v, draining\n", s)

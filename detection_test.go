@@ -2,6 +2,7 @@ package failscope
 
 import (
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -112,6 +113,38 @@ func TestDetectionScoreboardSmall(t *testing.T) {
 	for _, name := range []string{"detect_precision", "detect_median_lead_days", "detect_anomaly_alerts"} {
 		if sb.Find(name) == nil {
 			t.Errorf("band %q missing from the detection scoreboard", name)
+		}
+	}
+}
+
+// TestStudyFieldReplaysLikeFreshField licenses the detection replay's
+// reuse of Result.Field: after Study.Run has collected (classification on,
+// as failanalyze -classify runs it) and analyzed the field, the stream it
+// flattens to must deep-equal the stream of a freshly generated field —
+// machine events' *Machine pointees included — at one worker and at all.
+func TestStudyFieldReplaysLikeFreshField(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the small study twice")
+	}
+	for _, p := range []int{1, 0} {
+		study := SmallStudy().WithParallelism(p)
+		study.Collect.SkipClassification = false
+		res, err := study.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Generate(study.Generator)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := StreamEventsFromField(res.Field), StreamEventsFromField(fresh)
+		if len(got) != len(want) {
+			t.Fatalf("parallelism %d: study field flattens to %d events, a fresh one to %d", p, len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("parallelism %d: event %d of the study field is %+v, of a fresh field %+v", p, i, got[i], want[i])
+			}
 		}
 	}
 }

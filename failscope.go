@@ -547,7 +547,7 @@ func TrainOnlineClassifier(tickets []Ticket, opts CollectOptions) (*OnlineClassi
 // the ordered event stream a live deployment would have produced —
 // inventory first, then every timed record in arrival order.
 func StreamEventsFromField(field *FieldData) []StreamEvent {
-	return stream.EventsFromField(field.Data, field.Tickets, field.Monitor)
+	return stream.EventsFromField(field.Data, field.Tickets, field.Monitor, nil)
 }
 
 // ReadStreamEvents decodes a JSONL event batch; errors name the 1-based

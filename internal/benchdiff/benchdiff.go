@@ -57,6 +57,10 @@ type Row struct {
 	TimeChecked    bool
 	TimeRegressed  bool
 	AllocRegressed bool
+
+	// Removed marks a span present only in the baseline — a stage the
+	// current run no longer has. It is reported, never a regression.
+	Removed bool
 }
 
 // Result is one full report comparison.
@@ -140,7 +144,8 @@ func flatten(root *obs.SpanReport) map[string]spanAt {
 	return out
 }
 
-// Compare diffs the current report against the baseline.
+// Compare diffs the current report against the baseline. Every span path
+// of either report gets a row; one only in the baseline is marked Removed.
 func Compare(base, cur *obs.RunReport, opts Options) *Result {
 	res := &Result{}
 	res.Comparable, res.Reason = MetaComparable(base.Meta, cur.Meta)
@@ -151,11 +156,21 @@ func Compare(base, cur *obs.RunReport, opts Options) *Result {
 	for p := range curSpans {
 		paths = append(paths, p)
 	}
+	for p := range baseSpans {
+		if _, ok := curSpans[p]; !ok {
+			paths = append(paths, p)
+		}
+	}
 	sort.Strings(paths)
 
 	for _, path := range paths {
-		c := curSpans[path].r
 		b, inBase := baseSpans[path]
+		cs, inCur := curSpans[path]
+		if !inCur {
+			res.Rows = append(res.Rows, Row{Path: path, BaseWallMS: b.r.WallMS, BaseAllocs: b.r.Allocs, Removed: true})
+			continue
+		}
+		c := cs.r
 		row := Row{Path: path, CurWallMS: c.WallMS, CurAllocs: c.Allocs}
 		if inBase {
 			row.BaseWallMS = b.r.WallMS
@@ -197,6 +212,9 @@ func Format(res *Result) string {
 		"span", "base ms", "cur ms", "Δtime", "base allocs", "cur allocs", "Δalloc", "flags")
 	for _, row := range res.Rows {
 		flags := make([]string, 0, 2)
+		if row.Removed {
+			flags = append(flags, "REMOVED")
+		}
 		if row.TimeRegressed {
 			flags = append(flags, "TIME-REGRESSED")
 		}
@@ -208,7 +226,7 @@ func Format(res *Result) string {
 			timeCol = pct(row.BaseWallMS, row.CurWallMS)
 		}
 		allocCol := "-"
-		if row.BaseAllocs > 0 {
+		if row.BaseAllocs > 0 && !row.Removed {
 			allocCol = pct(float64(row.BaseAllocs), float64(row.CurAllocs))
 		}
 		fmt.Fprintf(&sb, "%-40s %12.1f %12.1f %8s %12d %12d %8s %s\n",

@@ -183,3 +183,35 @@ func TestShardMismatchSkipsTimeKeepsAllocGate(t *testing.T) {
 		t.Fatalf("alloc regression not flagged across shard counts: %s", Format(res))
 	}
 }
+
+// TestCompareReportsRemovedSpans: a span only the baseline has gets a
+// REMOVED row that is not a regression, however many allocations it had.
+func TestCompareReportsRemovedSpans(t *testing.T) {
+	m := meta(8, 8, 64_000)
+	base := report(m, span("run", 1000, 500_000, 8,
+		span("detect-generate", 400, 300_000, 8), span("detect-replay", 500, 100_000, 8)))
+	cur := report(m, span("run", 600, 150_000, 8,
+		span("detect-replay", 500, 100_000, 8, span("flatten", 100, 5_000, 8))))
+	res := Compare(base, cur, DefaultOptions())
+	if res.Regressed() {
+		t.Fatalf("removed span counted as a regression: %s", Format(res))
+	}
+	var paths []string
+	for _, row := range res.Rows {
+		paths = append(paths, row.Path)
+		if row.Removed != (row.Path == "run/detect-generate") {
+			t.Errorf("span %s: removed = %v", row.Path, row.Removed)
+		}
+		if row.Removed && (row.BaseWallMS != 400 || row.BaseAllocs != 300_000 || row.CurAllocs != 0 || row.TimeChecked) {
+			t.Errorf("removed row %+v: want baseline numbers only", row)
+		}
+	}
+	want := "run run/detect-generate run/detect-replay run/detect-replay/flatten"
+	if got := strings.Join(paths, " "); got != want {
+		t.Fatalf("rows %q, want %q", got, want)
+	}
+	out := Format(res)
+	if !strings.Contains(out, "REMOVED") || !strings.Contains(out, "0 regression(s)") {
+		t.Fatalf("table does not show the removed span cleanly:\n%s", out)
+	}
+}

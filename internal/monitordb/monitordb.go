@@ -655,7 +655,7 @@ func (db *DB) ForEachPower(fn func(id model.MachineID, events []PowerEvent)) {
 }
 
 // ForEachPlacement calls fn for every VM's placement schedule, VMs sorted
-// and months ascending.
+// and months ascending. The slice passed to fn is a copy.
 func (db *DB) ForEachPlacement(fn func(vm model.MachineID, steps []PlacementStep)) {
 	db.mu.RLock()
 	vms := make([]model.MachineID, 0, len(db.placement))

@@ -20,7 +20,7 @@ func benchWire(b *testing.B) []byte {
 	if err != nil {
 		b.Fatal(err)
 	}
-	events := EventsFromField(field.Data, field.Tickets, field.Monitor)[:20000]
+	events := EventsFromField(field.Data, field.Tickets, field.Monitor, nil)[:20000]
 	var wire bytes.Buffer
 	if err := EncodeJSONL(&wire, events); err != nil {
 		b.Fatal(err)

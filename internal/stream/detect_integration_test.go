@@ -32,7 +32,7 @@ func detectorReplay(t *testing.T, retention time.Duration) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := EventsFromField(col.Data, nil, field.Monitor)
+	events := EventsFromField(col.Data, nil, field.Monitor, nil)
 	end := cfg.Observation.End
 	events = append(events, Event{Type: "advance", Time: &end})
 	if err := eng.Apply(events); err != nil {

@@ -29,7 +29,7 @@ func groupedTestConfig(t *testing.T) Config {
 // no concurrent callers, group commit must be a plain Apply.
 func TestApplyGroupedMatchesApply(t *testing.T) {
 	field, _, _ := smallBatch(t)
-	events := EventsFromField(field.Data, field.Tickets, field.Monitor)
+	events := EventsFromField(field.Data, field.Tickets, field.Monitor, nil)
 
 	run := func(apply func(e *Engine, batch []Event) error) *Snapshot {
 		eng, err := NewEngine(groupedTestConfig(t))

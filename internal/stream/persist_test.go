@@ -29,7 +29,7 @@ func fullEvents(t *testing.T) ([]Event, func(t *testing.T) *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := EventsFromField(col.Data, nil, field.Monitor)
+	events := EventsFromField(col.Data, nil, field.Monitor, nil)
 	end := cfg.Observation.End
 	events = append(events, Event{Type: "advance", Time: &end})
 

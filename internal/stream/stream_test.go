@@ -114,7 +114,7 @@ func TestEngineConvergesToBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events := EventsFromField(col.Data, nil, field.Monitor)
+	events := EventsFromField(col.Data, nil, field.Monitor, nil)
 	if len(events) == 0 {
 		t.Fatal("no events from field data")
 	}
@@ -238,7 +238,7 @@ func TestEngineOnlineClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Apply(EventsFromField(col.Data, nil, field.Monitor)); err != nil {
+	if err := eng.Apply(EventsFromField(col.Data, nil, field.Monitor, nil)); err != nil {
 		t.Fatal(err)
 	}
 	snap := eng.Snapshot()
