@@ -30,7 +30,7 @@ func main() {
 		timeTol      = flag.Float64("time-tol", 0.15, "allowed fractional wall-time growth per span")
 		allocTol     = flag.Float64("alloc-tol", 0.15, "allowed fractional allocation growth per span")
 		minWallMS    = flag.Float64("min-wall-ms", 50, "skip time checks for spans whose baseline wall time is below this (noise floor)")
-		newFloor     = flag.Uint64("new-alloc-floor", 10_000, "allocation allowance for spans with no baseline count")
+		newFloor     = flag.Uint64("new-alloc-floor", 10_000, "allocation allowance for spans with no baseline count and no baseline parent")
 		requireComp  = flag.Bool("require-comparable", false, "fail when run metadata makes wall times incomparable instead of skipping them")
 	)
 	flag.Parse()

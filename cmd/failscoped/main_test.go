@@ -543,6 +543,55 @@ func TestTelemetryEndpoints(t *testing.T) {
 	}
 }
 
+// TestHistoryPublishesShardedGauges: at N > 1 shards the fleet-wide
+// gauges exist only once the router publishes them, so every history
+// snapshot must publish first — a point recorded without any /metrics
+// scrape still carries stream.events equal to the events acknowledged.
+func TestHistoryPublishesShardedGauges(t *testing.T) {
+	o := obs.NewObserver("failscoped-sharded-history-test")
+	engines := make([]*stream.Engine, 2)
+	for i := range engines {
+		eng, err := stream.NewEngine(stream.Config{Observation: testWindow, Observer: o, GaugeLabel: fmt.Sprint(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = eng
+	}
+	rt, err := shard.New(shard.Options{Engines: engines, Registry: o.Metrics()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	srv := newServer(rt, o, serverOptions{historyInterval: time.Hour}) // records only on demand
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	res, err := http.Post(ts.URL+"/v1/events", "application/jsonl", strings.NewReader(testBatch(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ack map[string]int
+	err = json.NewDecoder(res.Body).Decode(&ack)
+	res.Body.Close()
+	if err != nil || res.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d, decode %v", res.StatusCode, err)
+	}
+
+	srv.history.Record(time.Now())
+	pts := srv.history.Points(1, "")
+	if len(pts) != 1 {
+		t.Fatalf("history holds %d points, want 1", len(pts))
+	}
+	got, ok := pts[0].Metrics["stream.events"]
+	if !ok || got != float64(ack["applied"]) {
+		t.Errorf("history stream.events = %v (present %v), want %d acknowledged", got, ok, ack["applied"])
+	}
+	if _, ok := pts[0].Metrics["wire.decode_fast"]; !ok {
+		t.Error("history point lacks wire.decode_fast")
+	}
+}
+
 // TestHealthzEnrichment: the liveness probe carries build identity, uptime
 // and ingestion counters alongside the engine counters.
 func TestHealthzEnrichment(t *testing.T) {

@@ -84,7 +84,7 @@ type server struct {
 	recovery *durable.RecoveryInfo
 
 	// Last stream.DecodeStats readings already folded into the registry;
-	// handleMetrics publishes the delta so wire.decode_* stay counters.
+	// publish adds the delta so wire.decode_* stay counters.
 	decMu       sync.Mutex
 	pubFast     int64
 	pubFallback int64
@@ -103,7 +103,10 @@ func newServer(rt *shard.Router, o *obs.Observer, opts serverOptions) *server {
 		store: opts.store, recovery: opts.recovery,
 	}
 	s.tracer = telemetry.NewTracer(o.Metrics(), opts.traceBuffer, opts.traceSlow)
-	s.history = telemetry.NewHistory(o.Metrics().Snapshot, opts.historyInterval, opts.historySize)
+	s.history = telemetry.NewHistory(func() map[string]float64 {
+		s.publish()
+		return o.Metrics().Snapshot()
+	}, opts.historyInterval, opts.historySize)
 	s.history.Start()
 
 	handle := func(pattern string, h http.HandlerFunc) {
@@ -248,25 +251,34 @@ func (s *server) handleFidelity(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the observer registry (plus Go runtime gauges) in
-// the Prometheus text exposition format. Buffer-pool hit/miss gauges are
-// refreshed first so every scrape carries the live reuse picture.
+// the Prometheus text exposition format, refreshed by publish first.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.fail(w, r, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
 		return
 	}
-	mempool.Publish(s.obs.Metrics())
-	s.publishDecodeStats()
-	s.rt.Publish(s.obs.Metrics())
+	s.publish()
 	s.seqHeader(w)
 	telemetry.Handler(s.obs.Metrics(), metricHelp).ServeHTTP(w, r)
 }
 
+// publish refreshes the registry values computed at read time — buffer-
+// pool reuse, the decoder counters and, on a multi-shard router, the
+// fleet-wide stream, monitordb and detect aggregates — so a /metrics
+// scrape and a history snapshot read the same live picture. Each step is
+// O(1) in store size.
+func (s *server) publish() {
+	m := s.obs.Metrics()
+	mempool.Publish(m)
+	s.publishDecodeStats()
+	s.rt.Publish(m)
+}
+
 // publishDecodeStats folds the process-wide JSONL decoder counters into
 // the registry as wire.decode_fast / wire.decode_fallback. The decoder
-// counts cumulatively across every caller (ingest, replay, tests), so the
-// scrape handler publishes deltas against what it last saw, keeping the
-// registry values monotone counters.
+// counts cumulatively across every caller (ingest, replay, tests), so
+// publish adds deltas against what it last saw, keeping the registry
+// values monotone counters.
 func (s *server) publishDecodeStats() {
 	fast, fallback := stream.DecodeStats()
 	s.decMu.Lock()

@@ -125,6 +125,13 @@ func TestDurableRecoveryPreservesStudy(t *testing.T) {
 	if got := snapshotJSON(t, det.Snapshot()); got != refDetSnap {
 		t.Error("detector snapshot after crash-recovery differs from the uninterrupted run")
 	}
+	// The footprint gauges hold across recovery on every capacity-
+	// independent term; the byte terms differ because a checkpoint
+	// restores each column at its exact length.
+	if got, want := eng.Monitor().Footprint(), ref.Monitor().Footprint(); got.Series != want.Series ||
+		got.GridSamples != want.GridSamples || got.RowSamples != want.RowSamples || got.LegacyBytes != want.LegacyBytes {
+		t.Errorf("footprint after crash-recovery %+v, uninterrupted %+v", got, want)
+	}
 
 	// The recovered study still passes every fidelity band and the
 	// detection gate — durability is invisible to the observed science.

@@ -34,7 +34,9 @@ type Options struct {
 	MinWallMS float64
 	// NewAllocFloor guards spans absent from the baseline alloc-wise or with
 	// zero baseline allocations, where no ratio exists: a current count at
-	// or under the floor passes, above it regresses.
+	// or under the floor passes, above it regresses. A new span whose
+	// parent the baseline has is judged against the parent instead (see
+	// Compare).
 	NewAllocFloor uint64
 }
 
@@ -144,6 +146,14 @@ func flatten(root *obs.SpanReport) map[string]spanAt {
 	return out
 }
 
+// parentPath strips the last span name off a path ("" for the root).
+func parentPath(path string) string {
+	if i := strings.LastIndexByte(path, '/'); i >= 0 {
+		return path[:i]
+	}
+	return ""
+}
+
 // Compare diffs the current report against the baseline. Every span path
 // of either report gets a row; one only in the baseline is marked Removed.
 func Compare(base, cur *obs.RunReport, opts Options) *Result {
@@ -177,11 +187,18 @@ func Compare(base, cur *obs.RunReport, opts Options) *Result {
 			row.BaseAllocs = b.r.Allocs
 		}
 
-		// Allocation check: deterministic, always on.
-		if inBase && b.r.Allocs > 0 {
-			limit := float64(b.r.Allocs) * (1 + opts.AllocTol)
-			row.AllocRegressed = float64(c.Allocs) > limit
-		} else {
+		// Allocation check: deterministic, always on. A span new to a
+		// parent the baseline has splits out work that parent already
+		// counted (span allocations are inclusive), so it is held to the
+		// parent's baseline allocations; only a span with no baseline
+		// parent falls back to the fixed floor.
+		parent, parentInBase := baseSpans[parentPath(path)]
+		switch {
+		case inBase && b.r.Allocs > 0:
+			row.AllocRegressed = float64(c.Allocs) > float64(b.r.Allocs)*(1+opts.AllocTol)
+		case !inBase && parentInBase && parent.r.Allocs > 0:
+			row.AllocRegressed = float64(c.Allocs) > float64(parent.r.Allocs)*(1+opts.AllocTol)
+		default:
 			row.AllocRegressed = c.Allocs > opts.NewAllocFloor
 		}
 

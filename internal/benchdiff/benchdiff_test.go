@@ -121,17 +121,47 @@ func TestCompareNoiseFloor(t *testing.T) {
 	}
 }
 
+// TestCompareNewSpanAllocFloor: a new span whose parent is new too has no
+// baseline to be judged against, so the fixed floor gates it.
 func TestCompareNewSpanAllocFloor(t *testing.T) {
 	m := meta(8, 8, 64_000)
 	base := report(m, span("run", 1000, 100_000, 8))
-	cur := report(m, span("run", 1000, 100_000, 8, span("extra", 10, 50_000, 8)))
+	cur := report(m, span("run", 1000, 100_000, 8, span("stage", 10, 50_000, 8, span("extra", 10, 50_000, 8))))
 	res := Compare(base, cur, DefaultOptions())
-	if !res.Regressed() {
-		t.Fatalf("new span with 50k allocs (floor 10k) not flagged: %s", Format(res))
+	if res.Regressions != 1 {
+		t.Fatalf("new span with 50k allocs (floor 10k) not flagged alone: %s", Format(res))
 	}
-	cur2 := report(m, span("run", 1000, 100_000, 8, span("extra", 10, 2_000, 8)))
+	for _, row := range res.Rows {
+		if row.AllocRegressed != (row.Path == "run/stage/extra") {
+			t.Fatalf("wrong alloc verdict on %s: %s", row.Path, Format(res))
+		}
+	}
+	cur2 := report(m, span("run", 1000, 100_000, 8, span("stage", 10, 2_000, 8, span("extra", 10, 2_000, 8))))
 	if res2 := Compare(base, cur2, DefaultOptions()); res2.Regressed() {
 		t.Fatalf("new span under the alloc floor flagged: %s", Format(res2))
+	}
+}
+
+// TestCompareNewChildJudgedByParent: a new child of a span the baseline
+// has is held to that parent's baseline allocations, not the floor — a
+// split of a stage whose allocations fell is no regression, while a child
+// that alone outgrows its parent's baseline is.
+func TestCompareNewChildJudgedByParent(t *testing.T) {
+	m := meta(8, 8, 64_000)
+	base := report(m, span("run", 5000, 3_000_000, 8, span("detect-replay", 4000, 2_300_000, 8)))
+	cur := report(m, span("run", 2000, 700_000, 8, span("detect-replay", 1500, 95_000, 8,
+		span("flatten", 600, 69_900, 8), span("apply", 600, 24_600, 8))))
+	if res := Compare(base, cur, DefaultOptions()); res.Regressed() {
+		t.Fatalf("children of a shrunken parent flagged: %s", Format(res))
+	}
+
+	base = report(m, span("run", 1000, 100_000, 8, span("stage", 100, 20_000, 8)))
+	cur = report(m, span("run", 1000, 140_000, 8, span("stage", 100, 60_000, 8, span("extra", 50, 50_000, 8))))
+	res := Compare(base, cur, DefaultOptions())
+	for _, row := range res.Rows {
+		if row.Path == "run/stage/extra" && !row.AllocRegressed {
+			t.Fatalf("child above its parent's baseline (50k vs 20k) not flagged: %s", Format(res))
+		}
 	}
 }
 

@@ -216,6 +216,13 @@ type Detector struct {
 	activeCount  int
 	crashTickets int64
 
+	// expiryFloor is a lower bound on the earliest active Deadline while
+	// expiryKnown holds, so Advance can skip its machine walk until the
+	// watermark passes it. Raises lower it, the walk recomputes it, clears
+	// leave it (a stale bound is still a bound) and RestoreState drops it.
+	expiryFloor time.Time
+	expiryKnown bool
+
 	raisedBySource map[string]int64
 	confirmed      int64
 	expired        int64
@@ -494,18 +501,26 @@ func (d *Detector) ObserveSample(id model.MachineID, metric monitordb.Metric, at
 
 // Advance moves the detector's watermark, expiring active alerts whose
 // horizon has fully elapsed. Expiry order is deterministic (by raise
-// time, then machine ID) regardless of map iteration.
+// time, then machine ID) regardless of map iteration. The machine walk
+// runs only once the watermark passes expiryFloor, so a group commit that
+// expires nothing costs O(1) in fleet size.
 func (d *Detector) Advance(watermark time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.noteTimeLocked(watermark)
-	if d.activeCount == 0 {
+	if d.activeCount == 0 || (d.expiryKnown && !d.expiryFloor.Before(d.watermark)) {
 		return
 	}
 	var due []*machineState
+	d.expiryKnown = false
 	for _, st := range d.machines {
-		if st.active != nil && st.active.Deadline.Before(d.watermark) {
+		a := st.active
+		switch {
+		case a == nil:
+		case a.Deadline.Before(d.watermark):
 			due = append(due, st)
+		case !d.expiryKnown || a.Deadline.Before(d.expiryFloor):
+			d.expiryFloor, d.expiryKnown = a.Deadline, true
 		}
 	}
 	sortStates(due)
@@ -547,6 +562,12 @@ func (d *Detector) raiseLocked(st *machineState, at time.Time, source, metric st
 		Cause:    cause,
 	}
 	st.active = a
+	switch {
+	case d.activeCount == 0:
+		d.expiryFloor, d.expiryKnown = a.Deadline, true
+	case d.expiryKnown && a.Deadline.Before(d.expiryFloor):
+		d.expiryFloor = a.Deadline
+	}
 	d.activeCount++
 	d.raisedBySource[source]++
 }

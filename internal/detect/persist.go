@@ -181,6 +181,7 @@ func (d *Detector) RestoreState(r io.Reader) error {
 	d.watermark = img.Watermark
 	d.nextID = img.NextID
 	d.activeCount = img.ActiveCount
+	d.expiryKnown = false
 	d.crashTickets = img.CrashTickets
 	d.raisedBySource = img.RaisedBySource
 	if d.raisedBySource == nil {

@@ -452,17 +452,45 @@ type Footprint struct {
 	LegacyBytes int64 // the same samples at 32 bytes each (previous layout)
 }
 
-// Footprint computes the current series-storage footprint.
+// seriesTerms is one series' contribution to Footprint. The DB keeps the
+// sum over all series as a running total: every mutator takes the touched
+// series' terms before and after its change and applies the difference,
+// so reading the footprint never walks the store.
+type seriesTerms struct {
+	grid, rows          int
+	gridBytes, rowBytes int64
+}
+
+func (s *colSeries) terms() seriesTerms {
+	return seriesTerms{
+		grid:      s.nGrid,
+		rows:      len(s.rowT),
+		gridBytes: int64(cap(s.vals))*8 + int64(cap(s.valid))*8,
+		rowBytes:  int64(cap(s.rowT))*8 + int64(cap(s.rowV))*8,
+	}
+}
+
+// move replaces a series' old contribution to the running total with its
+// new one.
+func (t *seriesTerms) move(old, cur seriesTerms) {
+	t.grid += cur.grid - old.grid
+	t.rows += cur.rows - old.rows
+	t.gridBytes += cur.gridBytes - old.gridBytes
+	t.rowBytes += cur.rowBytes - old.rowBytes
+}
+
+// Footprint returns the current series-storage footprint in O(1) from the
+// running totals the mutators maintain.
 func (db *DB) Footprint() Footprint {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	var fp Footprint
-	for _, s := range db.series {
-		fp.Series++
-		fp.GridSamples += s.nGrid
-		fp.RowSamples += len(s.rowT)
-		fp.GridBytes += int64(cap(s.vals))*8 + int64(cap(s.valid))*8
-		fp.RowBytes += int64(cap(s.rowT))*8 + int64(cap(s.rowV))*8
+	t := db.totals
+	fp := Footprint{
+		Series:      len(db.series),
+		GridSamples: t.grid,
+		RowSamples:  t.rows,
+		GridBytes:   t.gridBytes,
+		RowBytes:    t.rowBytes,
 	}
 	fp.Bytes = fp.GridBytes + fp.RowBytes + int64(fp.Series)*colSeriesOverheadBytes
 	fp.LegacyBytes = int64(fp.GridSamples+fp.RowSamples) * legacySampleBytes

@@ -81,6 +81,9 @@ type DB struct {
 	mu        sync.RWMutex
 	retention time.Duration
 	series    map[seriesKey]*colSeries
+	// totals is the sum of every series' footprint terms, kept current by
+	// each series mutator so Footprint is O(1).
+	totals    seriesTerms
 	power     map[model.MachineID][]PowerEvent
 	placement map[model.MachineID][]placementRecord
 	// hostLoad counts VMs per (host, month); kept in sync with placement
@@ -191,7 +194,10 @@ func (db *DB) Add(id model.MachineID, metric Metric, s Sample) {
 	if db.outsideWindowLocked(s.Time) {
 		return
 	}
-	db.seriesLocked(seriesKey{id, metric}).add(s.Time.UnixNano(), s.Value)
+	col := db.seriesLocked(seriesKey{id, metric})
+	before := col.terms()
+	col.add(s.Time.UnixNano(), s.Value)
+	db.totals.move(before, col.terms())
 	db.noteSeenLocked(id, s.Time)
 	db.metrics.Add("monitordb.samples", 1)
 }
@@ -212,6 +218,7 @@ func (db *DB) AddSeries(id model.MachineID, metric Metric, samples []Sample) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	col := db.seriesLocked(seriesKey{id, metric})
+	before := col.terms()
 	// Presize for the batch so the add loop lands in one backing array
 	// instead of doubling through several. Both reservations are
 	// capacity-only: sample routing (grid vs. rows) and detection timing
@@ -243,6 +250,7 @@ func (db *DB) AddSeries(id model.MachineID, metric Metric, samples []Sample) {
 		accepted++
 	}
 	col.trim()
+	db.totals.move(before, col.terms())
 	db.metrics.Add("monitordb.samples", int64(accepted))
 	if dropped := len(samples) - accepted; dropped > 0 {
 		db.metrics.Add("monitordb.samples_dropped", int64(dropped))
@@ -553,9 +561,13 @@ func (db *DB) Advance(now time.Time) int {
 
 	evicted := 0
 	for k, s := range db.series {
+		before := s.terms()
 		evicted += s.evictBefore(startN)
 		if s.len() == 0 {
 			delete(db.series, k)
+			db.totals.move(before, seriesTerms{})
+		} else {
+			db.totals.move(before, s.terms())
 		}
 	}
 	for id, events := range db.power {

@@ -336,6 +336,7 @@ func ReadSegment(r io.Reader) (*DB, error) {
 					id, metric, len(s.valid), want)
 			}
 			db.series[seriesKey{id, metric}] = s
+			db.totals.move(seriesTerms{}, s.terms())
 		}
 	}
 
